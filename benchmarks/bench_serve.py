@@ -6,6 +6,8 @@ assertions pin the acceptance contracts of ISSUE 5:
 
 * N identical concurrent requests perform exactly one engine
   execution (coalesce counter = N-1);
+* N identical sequential requests perform exactly one engine
+  execution, the other N-1 answered from the reply memo;
 * the admission queue sheds with typed 429s rather than growing past
   its bound (peak pending <= max_pending, every request answered);
 * graceful drain completes every admitted request — zero silently
@@ -18,6 +20,7 @@ import asyncio
 from repro.serve.loadgen import (
     scenario_coalesce,
     scenario_drain,
+    scenario_hot,
     scenario_load,
     scenario_shed,
 )
@@ -36,6 +39,20 @@ def bench_serve_coalesce(show):
     assert result["coalesced"] == result["requests"] - 1, (
         f"coalesce counter {result['coalesced']} != N-1")
     assert result["identical_payloads"], "coalesced replies diverged"
+
+
+def bench_serve_hot(show):
+    result = asyncio.run(scenario_hot(n=8))
+    show("Serve: reply memo",
+         f"{result['requests']} identical sequential requests -> "
+         f"{result['executions']} execution(s), "
+         f"{result['memo_hits']} memo hits")
+    assert result["ok"] == result["requests"], "a memo-hot request failed"
+    assert result["executions"] == 1, (
+        f"identical sequential requests ran {result['executions']} times")
+    assert result["memo_hits"] == result["requests"] - 1, (
+        f"memo hit counter {result['memo_hits']} != N-1")
+    assert result["identical_payloads"], "memo hits diverged"
 
 
 def bench_serve_shed(show):

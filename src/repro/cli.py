@@ -691,6 +691,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     print(f"coalesce: {scenarios['coalesce']['coalesced']} of "
           f"{scenarios['coalesce']['requests']} requests coalesced onto "
           f"{scenarios['coalesce']['executions']} execution(s)")
+    print(f"hot: {scenarios['hot']['memo_hits']} of "
+          f"{scenarios['hot']['requests']} sequential requests answered from "
+          f"the reply memo, {scenarios['hot']['executions']} execution(s)")
     print(f"shed: {scenarios['shed']['shed']} of {scenarios['shed']['burst']} "
           f"burst requests refused (peak pending "
           f"{scenarios['shed']['peak_pending']}/{scenarios['shed']['max_pending']})")

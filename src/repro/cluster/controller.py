@@ -488,12 +488,16 @@ class ControllerServer:
                     break
                 if request is None:
                     break
-                method, target, _headers, body = request
+                method, target, headers, body = request
                 status, payload, content_type = self._route(
                     method, target, body)
+                keep_alive = (headers.get("connection", "keep-alive").lower()
+                              != "close")
                 writer.write(http_payload(status, payload, content_type,
-                                          keep_alive=True))
+                                          keep_alive=keep_alive))
                 await writer.drain()
+                if not keep_alive:
+                    break
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.CancelledError):
             pass

@@ -9,6 +9,9 @@ endpoints, backed by the thread-safe, content-addressed
 
 The serving disciplines are the point (see ``docs/SERVING.md``):
 
+* **reply memo** (:class:`~repro.serve.server.ServeApp`) — a repeat of
+  a request whose endpoint is ``memoizable`` is answered on the event
+  loop from the first successful reply, without executing;
 * **request coalescing** (:mod:`~repro.serve.coalesce`) — identical
   concurrent requests share one engine execution;
 * **micro-batching** (:mod:`~repro.serve.batching`) — compatible

@@ -49,11 +49,15 @@ class AdmissionController:
                 "serve_queue_depth",
                 "requests admitted and not yet resolved").set(self.pending)
 
-    def admit(self) -> None:
-        """Take a slot or raise the typed refusal (429/503)."""
+    def refuse_if_draining(self) -> None:
+        """Raise the typed 503 while draining (memo hits check only this)."""
         if self.draining:
             raise ServeError(503, "draining",
                              "server is draining; not accepting new work")
+
+    def admit(self) -> None:
+        """Take a slot or raise the typed refusal (429/503)."""
+        self.refuse_if_draining()
         if self.pending >= self.max_pending:
             raise ServeError(
                 429, "overloaded",

@@ -5,14 +5,14 @@ collapsed onto one execution: the first arrival becomes the *leader*
 and owns the computation, every later arrival while the leader is in
 flight becomes a *follower* and awaits the leader's future.  N
 identical concurrent requests therefore cost one engine execution and
-N-1 cache-free replies, which is the serving-side analogue of the
-engine's content-addressed memoization: the memo cache deduplicates
-across time, the single-flight table deduplicates across concurrency.
+N-1 cache-free replies, which is the concurrent counterpart of the
+server's reply memo: the memo deduplicates across time, the
+single-flight table deduplicates across concurrency.
 
 The table is strictly in-flight: an entry is removed the moment its
 flight finishes, so coalescing never serves stale results — a request
-arriving after completion starts a fresh flight (and typically hits
-the engine cache instead).
+arriving after completion is answered from the reply memo when its
+endpoint is memoizable, and starts a fresh flight otherwise.
 
 Single-threaded by design: every method runs on the serving event
 loop, so there is no locking here.

@@ -16,8 +16,8 @@ Both are deterministic: the request mix is derived from a seed, and
 latency statistics are nearest-rank percentiles over every completed
 request — never averages of averages.
 
-:func:`run_bench` composes four scenarios against in-process servers
-(coalesce, shed, drain, load) into the ``BENCH_serve.json`` snapshot
+:func:`run_bench` composes five scenarios against in-process servers
+(coalesce, hot, shed, drain, load) into the ``BENCH_serve.json`` snapshot
 that `repro serve bench`, ``benchmarks/bench_serve.py`` and CI all
 share.
 """
@@ -326,7 +326,8 @@ async def _with_server(config: ServeConfig, body) -> Dict[str, Any]:
         name: _counter_total(window, name)
         for name in ("serve_coalesced_total", "serve_executions_total",
                      "serve_shed_total", "serve_batches_total",
-                     "serve_deadline_expired_total")
+                     "serve_deadline_expired_total",
+                     "serve_reply_memo_hits_total")
     }
     return out
 
@@ -356,6 +357,30 @@ async def scenario_coalesce(n: int = 8) -> Dict[str, Any]:
     out["coalesced"] = int(out["metrics"]["serve_coalesced_total"])
     out["executions"] = int(out["metrics"]["serve_executions_total"])
     out["coalesce_rate"] = round(out["coalesced"] / n, 4)
+    return out
+
+
+async def scenario_hot(n: int = 8) -> Dict[str, Any]:
+    """N sequential identical requests: one execution, N-1 memo hits."""
+    config = ServeConfig(port=0)
+
+    async def body(server: HttpServer) -> Dict[str, Any]:
+        client = HttpClient(server.host, server.port)
+        try:
+            replies = [await client.request("measure", {"arch": "r3000"})
+                       for _ in range(n)]
+        finally:
+            await client.close()
+        payloads = [r.body for r in replies]
+        return {
+            "requests": n,
+            "ok": sum(1 for r in replies if r.ok),
+            "identical_payloads": all(p == payloads[0] for p in payloads),
+        }
+
+    out = await _with_server(config, body)
+    out["executions"] = int(out["metrics"]["serve_executions_total"])
+    out["memo_hits"] = int(out["metrics"]["serve_reply_memo_hits_total"])
     return out
 
 
@@ -470,6 +495,7 @@ async def scenario_load(requests: int = 64, clients: int = 4,
 
 def _checks(scenarios: Dict[str, Any]) -> Dict[str, bool]:
     coalesce = scenarios["coalesce"]
+    hot = scenarios["hot"]
     shed = scenarios["shed"]
     drain = scenarios["drain"]
     load = scenarios["load"]
@@ -479,6 +505,11 @@ def _checks(scenarios: Dict[str, Any]) -> Dict[str, bool]:
         "coalesce_counter_n_minus_1": (
             coalesce["coalesced"] == coalesce["requests"] - 1),
         "coalesce_identical_payloads": coalesce["identical_payloads"],
+        # N identical sequential requests -> 1 execution, N-1 answered
+        # from the reply memo, every reply the same.
+        "hot_single_execution": hot["executions"] == 1,
+        "hot_identical_payloads": hot["identical_payloads"],
+        "hot_memo_hits_n_minus_1": hot["memo_hits"] == hot["requests"] - 1,
         # the queue bounds instead of growing: nothing exceeded the
         # limit, refusals were typed, every request got an answer.
         "shed_bounded_queue": shed["peak_pending"] <= shed["max_pending"],
@@ -507,6 +538,7 @@ async def run_bench(*, quick: bool = False, seed: int = 0) -> Dict[str, Any]:
     scale = 1 if quick else 2
     scenarios = {
         "coalesce": await scenario_coalesce(n=8),
+        "hot": await scenario_hot(n=8),
         "shed": await scenario_shed(burst=12, max_pending=4),
         "drain": await scenario_drain(inflight=8),
         "load": await scenario_load(

@@ -1,7 +1,7 @@
 """Wire protocol of the serving layer: endpoints, validation, errors.
 
 Every request the server accepts is one of a small set of *endpoints*,
-each a pure function of its validated parameters.  The endpoint table
+each a function of its validated parameters.  The endpoint table
 below carries, per endpoint:
 
 * a **validator** that normalizes a client-supplied JSON object into
@@ -11,7 +11,8 @@ below carries, per endpoint:
   content-addressing schemes — :func:`~repro.core.engine.fingerprint_spec`
   for architecture-shaped requests, the registry fingerprint for table
   renders — so two requests that would reach the same engine
-  experiments share one coalescing key;
+  experiments share one coalescing key (and, for an endpoint marked
+  ``memoizable``, one reply-memo entry);
 * a **worker**, a top-level picklable function, so a micro-batch of
   requests can be fanned through :meth:`repro.core.engine.SweepRunner.map`
   unchanged.
@@ -247,9 +248,9 @@ def validate_explore_frontier(params: Any) -> Dict[str, Any]:
 
 def key_explore_frontier(params: Mapping[str, Any]) -> List[Any]:
     # Path-keyed, not content-keyed: coalescing is strictly in-flight
-    # (the entry is dropped the moment the leader finishes), so two
-    # concurrent reads of one store share a computation while a later
-    # read sees any appended trials.
+    # (the entry is dropped the moment the leader finishes) and the
+    # endpoint is not memoizable, so two concurrent reads of one store
+    # share a computation while a later read sees any appended trials.
     return [params["store"], params.get("objectives"), params.get("nonce")]
 
 
@@ -290,27 +291,40 @@ def work_explore_frontier(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class Endpoint:
-    """One served operation: route, validation, keying, worker."""
+    """One served operation: route, validation, keying, worker.
+
+    ``memoizable`` states the endpoint's purity: True when its reply is
+    a function of its content key alone, so the server may answer a
+    repeat of a key from its reply memo without executing again.  An
+    endpoint whose reply reads mutable state the key does not cover
+    (a result-store file) must be False.
+    """
 
     name: str
     path: str
     validate: Callable[[Any], Dict[str, Any]]
     key_parts: Callable[[Mapping[str, Any]], List[Any]]
     worker: Callable[[Mapping[str, Any]], Dict[str, Any]]
+    memoizable: bool
 
 
 ENDPOINTS: Dict[str, Endpoint] = {
     endpoint.name: endpoint
     for endpoint in (
+        # pure functions of fingerprint_spec / registry_fingerprint,
+        # PROTOCOL_VERSION and the nonce: every part is in the key
         Endpoint("measure", "/v1/measure",
-                 validate_measure, key_measure, work_measure),
+                 validate_measure, key_measure, work_measure,
+                 memoizable=True),
         Endpoint("table", "/v1/table",
-                 validate_table, key_table, work_table),
+                 validate_table, key_table, work_table, memoizable=True),
         Endpoint("arch_describe", "/v1/arch/describe",
-                 validate_arch_describe, key_arch_describe, work_arch_describe),
+                 validate_arch_describe, key_arch_describe, work_arch_describe,
+                 memoizable=True),
+        # reads a result store that grows between identical requests
         Endpoint("explore_frontier", "/v1/explore/frontier",
                  validate_explore_frontier, key_explore_frontier,
-                 work_explore_frontier),
+                 work_explore_frontier, memoizable=False),
     )
 }
 
@@ -319,7 +333,7 @@ ROUTES: Dict[str, Endpoint] = {e.path: e for e in ENDPOINTS.values()}
 
 
 def coalesce_key(endpoint: Endpoint, params: Mapping[str, Any]) -> str:
-    """Content address of one request (the in-flight coalescing key)."""
+    """Content address of one request (the coalescing and reply-memo key)."""
     return _digest(["serve", PROTOCOL_VERSION, endpoint.name,
                     endpoint.key_parts(params)])
 

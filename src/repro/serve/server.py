@@ -4,14 +4,17 @@ Two layers:
 
 * :class:`ServeApp` — the transport-free serving core.  ``await
   app.submit(endpoint, params)`` runs the full discipline pipeline:
-  validate → coalesce (:mod:`~repro.serve.coalesce`) → admit
+  validate → key → reply memo → coalesce
+  (:mod:`~repro.serve.coalesce`) → admit
   (:mod:`~repro.serve.admission`) → micro-batch
   (:mod:`~repro.serve.batching`) → execute on a thread pool through
   one shared, thread-safe :class:`~repro.core.engine.ExperimentEngine`
-  via :meth:`SweepRunner.map`.  Tests and the load generator drive it
-  directly; every discipline is observable through ``repro.obs``
-  (per-endpoint latency histograms, queue-depth gauge,
-  coalesce/batch/shed/deadline counters, one span per request).
+  via :meth:`SweepRunner.map`.  A request whose memoizable reply is
+  already known is answered on the event loop at the memo step.
+  Tests and the load generator drive it directly; every discipline is
+  observable through ``repro.obs`` (per-endpoint latency histograms,
+  queue-depth gauge, memo-hit/coalesce/batch/shed/deadline counters,
+  one span per request).
 * :class:`HttpServer` — a minimal JSON-over-HTTP/1.1 front end on
   ``asyncio.start_server`` (stdlib only, keep-alive supported) that
   maps routes to endpoints, plus ``GET /healthz`` and ``GET /metrics``
@@ -64,6 +67,9 @@ from repro.serve.protocol import (
 #: reject request bodies past this size with a typed 400.
 MAX_BODY_BYTES = 1 << 20
 
+#: coalesce keys the reply memo remembers (least recently used go first).
+MEMO_ENTRIES = 1024
+
 
 @dataclass
 class ServeConfig:
@@ -106,10 +112,14 @@ class ServeApp:
         #: perf_counter origin for request spans (serve-local timeline).
         self._epoch = time.perf_counter()
         self._closed = False
-        #: derived-work root digests per coalesce key, so every request
-        #: of a coalesced flight (leader and followers alike) can link
-        #: its serve_request lineage record to the shared computation.
-        self._flight_roots: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
+        #: coalesce key -> (derived-work root digests, canonical reply
+        #: JSON or None) of the key's last successful flight.  The roots
+        #: let every request of a flight, and every later memo hit, link
+        #: its serve_request lineage record to the shared computation;
+        #: the reply (memoizable endpoints only) answers repeats of the
+        #: key without executing.  Touched only on the event loop.
+        self._memo: "OrderedDict[str, Tuple[Tuple[str, ...], Optional[str]]]" = (
+            OrderedDict())
         self._preregister_metrics()
 
     # -- metrics/span plumbing ------------------------------------------
@@ -117,6 +127,8 @@ class ServeApp:
     #: below so a scrape sees explicit zeros, not missing series.
     _FALLBACK_REASONS = ("observer", "opclass", "fractional_cost",
                          "fractional_write_buffer")
+    _MEMO_HITS = ("serve_reply_memo_hits_total",
+                  "requests answered from the reply memo without executing")
 
     def _preregister_metrics(self) -> None:
         """Create zero cells for the engine counters operators alert on.
@@ -139,6 +151,10 @@ class ServeApp:
             "to the interpreter")
         for reason in self._FALLBACK_REASONS:
             fallbacks.inc(0, reason=reason)
+        memo_hits = _METRICS.counter(*self._MEMO_HITS)
+        for endpoint in ENDPOINTS.values():
+            if endpoint.memoizable:
+                memo_hits.inc(0, endpoint=endpoint.name)
         _METRICS.counter(
             "provenance_stale_results_total",
             "cached results re-executed because lineage reachability "
@@ -186,11 +202,17 @@ class ServeApp:
                 start_us=(t0 - self._epoch) * 1e6,
                 end_us=(t1 - self._epoch) * 1e6, **attrs)
 
-    def _stash_roots(self, key: str, roots: "Tuple[str, ...]") -> None:
-        self._flight_roots[key] = roots
-        self._flight_roots.move_to_end(key)
-        while len(self._flight_roots) > 1024:
-            self._flight_roots.popitem(last=False)
+    def _remember(self, job: Job, outcome: Mapping[str, Any]) -> None:
+        """Memoize a successful flight: its roots, and its canonical
+        reply JSON when the endpoint's reply depends on nothing but the
+        key."""
+        reply = (json.dumps(outcome["value"], sort_keys=True)
+                 if job.endpoint.memoizable else None)
+        self._memo[job.key] = (
+            tuple(str(r) for r in outcome.get("roots") or ()), reply)
+        self._memo.move_to_end(job.key)
+        while len(self._memo) > MEMO_ENTRIES:
+            self._memo.popitem(last=False)
 
     def _record_request(self, endpoint_name: str, request_id: Optional[str],
                         status: int, code: Optional[str],
@@ -206,8 +228,8 @@ class ServeApp:
         if not _PROV.enabled or request_id is None:
             return
         roots: "Tuple[str, ...]" = ()
-        if key is not None:
-            roots = self._flight_roots.get(key, ())
+        if key in self._memo:
+            roots = self._memo[key][0]
         meta: Dict[str, Any] = {"endpoint": endpoint_name, "status": status}
         if code:
             meta["code"] = code
@@ -221,6 +243,10 @@ class ServeApp:
                      deadline_ms: Optional[float] = None,
                      request_id: Optional[str] = None) -> Dict[str, Any]:
         """Serve one request; returns the reply payload or raises ServeError.
+
+        A repeat of a memoizable request whose reply is already known is
+        answered from the reply memo before coalescing and admission;
+        everything else takes the full pipeline.
 
         ``request_id`` correlates this request's span and lineage
         records (the HTTP front end passes the validated or generated
@@ -242,6 +268,14 @@ class ServeApp:
                     f"{', '.join(sorted(ENDPOINTS))}")
             normalized = endpoint.validate(params)
             key = coalesce_key(endpoint, normalized)
+            deadline_ms = (deadline_ms if deadline_ms is not None
+                           else self.config.default_deadline_ms)
+            memo = self._memo.get(key)
+            if memo is not None and memo[1] is not None:
+                self._memo.move_to_end(key)
+                result = self._memo_hit(endpoint_name, memo[1], deadline_ms)
+                status = 200
+                return result
             future, leader = self.flights.join(key)
             if not leader:
                 self._count("serve_coalesced_total",
@@ -260,8 +294,6 @@ class ServeApp:
                     # in the same instant share the refusal, adding no load.
                     self.flights.finish(key, error=err)
                 if admitted:
-                    deadline_ms = (deadline_ms if deadline_ms is not None
-                                   else self.config.default_deadline_ms)
                     self.batcher.submit(Job(
                         endpoint=endpoint, params=normalized, key=key,
                         admitted_t=t0,
@@ -279,6 +311,31 @@ class ServeApp:
             self._record_request(endpoint_name, request_id, status, code, key)
             self._finish_request(endpoint_name, t0, status, request_id)
             reset_request_id(token)
+
+    def _memo_hit(self, endpoint_name: str, reply: str,
+                  deadline_ms: Optional[float]) -> Dict[str, Any]:
+        """Answer from the memo: no slot, no batch, no execution.
+
+        The refusals a request can meet before dispatch still apply:
+        draining is a 503, a deadline already spent on arrival a 504.
+        Each hit decodes a fresh object, so a caller mutating its reply
+        cannot change the next one.
+        """
+        try:
+            self.admission.refuse_if_draining()
+        except ServeError as err:
+            self._count("serve_shed_total",
+                        "requests refused by admission control",
+                        reason=err.code)
+            raise
+        if deadline_ms is not None and deadline_ms <= 0:
+            self._count("serve_deadline_expired_total",
+                        "requests expired before dispatch",
+                        endpoint=endpoint_name)
+            raise ServeError(504, "deadline_exceeded",
+                             "deadline expired on arrival")
+        self._count(*self._MEMO_HITS, endpoint=endpoint_name)
+        return json.loads(reply)
 
     async def _dispatch_batch(self, jobs: List[Job]) -> None:
         """Run one micro-batch on the pool and resolve its flights."""
@@ -324,13 +381,11 @@ class ServeApp:
                             "unique engine-backed executions performed",
                             endpoint=job.endpoint.name)
                 if _PROV.enabled:
-                    # Fold the worker's collected records into this
-                    # process and remember the flight's derived-work
-                    # roots before the future resolves, so awaiting
-                    # submitters find them in _record_request.
                     merge_lineage_payload(outcome.get("lineage"))
-                    self._stash_roots(job.key, tuple(
-                        str(r) for r in outcome.get("roots") or ()))
+                # Memoize before the future resolves, so awaiting
+                # submitters find the roots in _record_request and no
+                # caller can have mutated the value being encoded.
+                self._remember(job, outcome)
                 self._complete(job, result=outcome["value"])
             else:
                 self._complete(job, error=ServeError(
@@ -377,14 +432,22 @@ class _BadHttp(Exception):
 
 async def _read_request(reader: asyncio.StreamReader,
                         ) -> "Optional[Tuple[str, str, Dict[str, str], bytes]]":
-    """Parse one request: (method, target, headers, body); None on EOF."""
+    """Parse one request: (method, target, headers, body); None on EOF.
+
+    Only ``Content-Length`` framing is understood.  A request carrying
+    ``Transfer-Encoding`` is refused with :class:`_BadHttp` (one 400,
+    then the connection closes), since reading its body as empty would
+    leave the chunk bytes to be parsed as a second request.  An HTTP/1.0
+    request without ``Connection: keep-alive`` comes back with
+    ``connection: close`` in its headers, its version's default.
+    """
     line = await reader.readline()
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise _BadHttp("malformed request line")
-    method, target, _version = parts
+    method, target, version = parts
     headers: Dict[str, str] = {}
     while True:
         raw = await reader.readline()
@@ -396,6 +459,12 @@ async def _read_request(reader: asyncio.StreamReader,
         if not sep:
             raise _BadHttp("malformed header line")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise _BadHttp("Transfer-Encoding is not supported; "
+                       "send a Content-Length body")
+    if (version == "HTTP/1.0"
+            and headers.get("connection", "").lower() != "keep-alive"):
+        headers["connection"] = "close"
     length_text = headers.get("content-length", "0") or "0"
     try:
         length = int(length_text)

@@ -224,3 +224,44 @@ def test_serve_metrics_surface_includes_cluster_series():
         obs.OBS_STATE.metrics_on = was_on
     assert "cluster_leases_granted_total" in text
     assert "cluster_heartbeat_age_seconds" in text
+
+
+def test_controller_wire_shares_the_serve_parser_fixes():
+    """The controller reads requests with the serve parser: a
+    Transfer-Encoding request gets one 400 and the connection closes,
+    and an HTTP/1.0 request closes after its reply."""
+    import asyncio
+
+    from repro.cluster.controller import ControllerServer
+
+    async def exchange(host, port, payload):
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(payload)
+            await writer.drain()
+            return await asyncio.wait_for(reader.read(), timeout=10.0)
+        finally:
+            writer.close()
+
+    async def body():
+        controller, _ = make_controller()
+        server = ControllerServer(controller)
+        await server.start()
+        try:
+            chunked = await exchange(
+                server.host, server.port,
+                b"POST /v1/cluster/register HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b"10\r\n{\"worker\": \"w1\"}\r\n0\r\n\r\n")
+            legacy = await exchange(
+                server.host, server.port,
+                b"GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n")
+        finally:
+            await server.stop()
+        return chunked, legacy
+
+    chunked, legacy = asyncio.run(body())
+    assert chunked.count(b"HTTP/1.1 ") == 1
+    assert chunked.startswith(b"HTTP/1.1 400")
+    assert legacy.startswith(b"HTTP/1.1 200")
+    assert b"Connection: close" in legacy

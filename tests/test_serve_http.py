@@ -239,3 +239,52 @@ def test_keep_alive_reuses_one_connection():
     first, second, reused = with_server(body)
     assert first.status == 200 and second.status == 200
     assert reused, "keep-alive connection was not reused"
+
+
+def test_transfer_encoding_gets_one_400_then_close():
+    # Read as an empty body, the chunk bytes would be parsed as a second
+    # request and answered with a second 400.
+    chunk = b'{"arch": "r3000"}'
+
+    async def body(server, client):
+        return await asyncio.wait_for(raw_exchange(
+            server.host, server.port,
+            b"POST /v1/measure HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n0\r\n\r\n"),
+            timeout=10.0)
+
+    raw = with_server(body)
+    assert raw.count(b"HTTP/1.1 ") == 1
+    assert raw.startswith(b"HTTP/1.1 400 Bad Request")
+    assert b"Connection: close" in raw
+    payload = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+    assert "Transfer-Encoding" in payload["message"]
+
+
+def test_http_1_0_closes_unless_keep_alive_is_asked_for():
+    request = (b"POST /v1/table HTTP/1.0\r\nHost: x\r\n"
+               b"Content-Length: 13\r\n%s\r\n{\"number\": 1}")
+
+    async def body(server, client):
+        # raw_exchange reads until the server closes: without the fix
+        # the HTTP/1.0 connection idles in keep-alive and this times out.
+        closed = await asyncio.wait_for(raw_exchange(
+            server.host, server.port, request % b""), timeout=10.0)
+        reader, writer = await asyncio.open_connection(
+            server.host, server.port)
+        try:
+            writer.write(request % b"Connection: keep-alive\r\n")
+            await writer.drain()
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=10.0)
+        finally:
+            writer.close()
+        return closed, head
+
+    closed, kept = with_server(body)
+    assert closed.startswith(b"HTTP/1.1 200 OK")
+    assert b"Connection: close" in closed
+    assert b"Table 1" in closed
+    assert b"Connection: keep-alive" in kept
