@@ -13,22 +13,22 @@ lease lifecycle (``plan`` / ``grant`` / ``complete`` / ``expire`` /
 restart the controller replays the journal, and every task offset a
 ``complete`` event covers is skipped — workers' WAL records are the
 ground truth for result bytes, the journal only restores scheduling
-state.  Torn tails (a controller killed mid-append) are tolerated by
-construction: an unterminated or unparsable final line is ignored.
-A ``plan`` event resets replay state, so one journal file can serve
+state.  The file is a :class:`repro.store.log.AppendLog` (metric prefix
+``cluster_journal``): a torn tail left by a controller killed
+mid-append is repaired on open, so the first event appended after a
+restart lands on a clean line.  A ``plan`` event resets replay state, so one journal file can serve
 many runs over the same output directory; replay honors only the last
 plan and the events after it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.objectives import ObjectiveSchema
 from repro.explore.space import DesignSpace, Dimension
+from repro.store.log import AppendLog
 
 #: bump when the journal event layout changes incompatibly.
 JOURNAL_SCHEMA_VERSION = 1
@@ -141,61 +141,32 @@ class JournalState:
 
 
 class LeaseJournal:
-    """Append-only JSONL lifecycle journal (crash-tolerant)."""
+    """Append-only JSONL lifecycle journal, repaired on open."""
 
     def __init__(self, path: str) -> None:
-        self.path = path
-        self.skipped_lines = 0
+        self._log = AppendLog(path, "cluster_journal")
         self._events: List[Dict[str, Any]] = []
-        if os.path.exists(path):
-            self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            return
-        if data and not data.endswith(b"\n"):
-            # torn tail: the writer died mid-append.  Journal events are
-            # advisory scheduling state, so the partial line is simply
-            # ignored (unlike the result WAL, nothing needs repair).
-            data, _, _ = data.rpartition(b"\n")
-            self.skipped_lines += 1
-        for raw in data.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                event = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self.skipped_lines += 1
-                continue
-            if (not isinstance(event, dict)
-                    or event.get("schema") != JOURNAL_SCHEMA_VERSION
-                    or "event" not in event):
-                self.skipped_lines += 1
+        for event in self._log.load():
+            if event.get("schema") != JOURNAL_SCHEMA_VERSION or "event" not in event:
+                self._log.skipped_lines += 1
                 continue
             self._events.append(event)
+
+    path = property(lambda self: self._log.path)
+    #: lines the load skipped (garbage, a dropped torn tail, foreign schema).
+    skipped_lines = property(lambda self: self._log.skipped_lines)
 
     def events(self) -> List[Dict[str, Any]]:
         return list(self._events)
 
     def append(self, event: Dict[str, Any]) -> None:
-        """Record one lifecycle event (flushed, line-atomic append)."""
+        """Record one lifecycle event (flushed, line-atomic append).
+        Persistence is best-effort: losing an event only costs
+        re-running an already-idempotent lease on resume."""
         payload = dict(event)
         payload["schema"] = JOURNAL_SCHEMA_VERSION
         self._events.append(payload)
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
-                fh.flush()
-        except OSError:
-            # journal persistence is best-effort: losing an event only
-            # costs re-running an already-idempotent lease on resume.
-            pass
+        self._log.append([payload])
 
     # ------------------------------------------------------------------
     def replay(self) -> JournalState:

@@ -11,16 +11,12 @@ Each evaluated trial is one JSON line keyed by the digest of
 A resumed search loads the file, skips every point whose key is
 present, and appends only fresh evaluations — so a killed 500-point
 sweep restarts where it stopped, and a second strategy over the same
-space reuses the first strategy's trials.  Robust by construction:
+space reuses the first strategy's trials.  The file is a
+:class:`repro.store.log.AppendLog` (metric prefix ``explore_store``):
 unparsable lines and foreign-schema records are skipped (counted),
-writes are flushed line-atomic appends, and a *torn tail* — a writer
-died mid-append, leaving the file without a final newline — is
-repaired on load: a parseable tail is completed (counted recovered),
-an unparsable one truncated away (counted dropped), and the file is
-rewritten newline-terminated either way so the next append can never
-concatenate onto the torn record.  Both outcomes surface as obs
-counters (``explore_store_tail_recovered_total`` /
-``explore_store_lines_dropped_total``).
+appends are flushed line-atomic writes, and a torn tail left by a
+writer that died mid-append is repaired on load, so the next append
+can never concatenate onto the torn record.
 
 Since the storage unification the JSONL file is formally a
 *write-ahead log* over the shared content-addressed store: calling
@@ -28,11 +24,11 @@ Since the storage unification the JSONL file is formally a
 :class:`repro.store.DiskTier` segment at ``<path>.store/`` and
 truncates the log.  Loading reads the compacted segment first, then
 overlays the WAL (later appends supersede compacted records), so the
-append path keeps its crash-safety story — line-atomic appends, torn
-tails repaired — while a long-lived store stops re-parsing its whole
-history on every open.  Round-trips are bit-identical: a record read
-back from the compacted segment compares equal, byte for byte when
-re-serialized, to the one appended to the log.
+append path keeps its crash-safety story while a long-lived store
+stops re-parsing its whole history on every open.  Round-trips are
+bit-identical: a record read back from the compacted segment compares
+equal, byte for byte when re-serialized, to the one appended to the
+log.
 
 Path-backed stores also keep a lineage sidecar (``<path>.lineage``, a
 :class:`repro.provenance.LineageStore`) where the explore runner
@@ -46,9 +42,8 @@ import json
 import os
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.obs import OBS_STATE as _OBS
-from repro.obs.metrics import REGISTRY as _METRICS
 from repro.provenance import LineageStore
+from repro.store.log import AppendLog
 
 #: bump when the record layout changes incompatibly.
 STORE_SCHEMA_VERSION = 1
@@ -73,22 +68,36 @@ class ResultStore:
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
-        self.path = path
-        self.skipped_lines = 0
-        #: torn final line completed (parseable) on load.
-        self.recovered_tail = 0
-        #: torn final line truncated away (unparsable) on load.
-        self.dropped_tail = 0
+        #: the WAL (``None`` keeps the store in memory).
+        self._log = AppendLog(path, "explore_store") if path is not None else None
         #: records loaded from the compacted segment (vs the WAL).
         self.compacted_loaded = 0
         self._records: Dict[str, Dict[str, Any]] = {}
         #: provenance sidecar the runner persists trial lineage into.
         self.lineage: Optional[LineageStore] = (
             LineageStore(f"{path}.lineage") if path is not None else None)
-        if path is not None:
+        if self._log is not None:
             self._load_segment()
-            if os.path.exists(path):
-                self._load(path)
+            for record in self._log.load():
+                if (record.get("schema") != STORE_SCHEMA_VERSION
+                        or "key" not in record):
+                    self._log.skipped_lines += 1
+                    continue
+                # duplicate keys: the latest append wins.
+                self._records[record["key"]] = record
+
+    @property
+    def path(self) -> Optional[str]:
+        return self._log.path if self._log is not None else None
+
+    @path.setter
+    def path(self, path: str) -> None:
+        self._log.path = path
+
+    # load-time tallies of the WAL (see :class:`AppendLog`).
+    skipped_lines = property(lambda self: self._log.skipped_lines if self._log else 0)
+    recovered_tail = property(lambda self: self._log.recovered_tail if self._log else 0)
+    dropped_tail = property(lambda self: self._log.dropped_tail if self._log else 0)
 
     @property
     def segment_dir(self) -> Optional[str]:
@@ -121,87 +130,13 @@ class ResultStore:
         WAL (atomically, so a crash mid-compaction never loses records:
         either the old WAL is still there, or the segment holds
         everything).  Returns the number of records in the segment."""
-        if self.path is None:
+        if self._log is None:
             return 0
         tier = self._segment_tier()
         for key, record in self._records.items():
             tier.put(key, record)
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        self._log.rewrite(b"")
         return len(self._records)
-
-    def _load(self, path: str) -> None:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError:
-            # an unreadable store behaves as empty; the search still runs.
-            return
-        if data and not data.endswith(b"\n"):
-            data = self._recover_tail(path, data)
-        for raw in data.splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self.skipped_lines += 1
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("schema") != STORE_SCHEMA_VERSION
-                    or "key" not in record):
-                self.skipped_lines += 1
-                continue
-            # duplicate keys: the latest append wins.
-            self._records[record["key"]] = record
-
-    def _recover_tail(self, path: str, data: bytes) -> bytes:
-        """Repair a file whose writer died mid-append (no final newline)."""
-        head, _, tail = data.rpartition(b"\n")
-        keep = head + b"\n" if head else b""
-        try:
-            record = json.loads(tail.decode("utf-8"))
-            usable = isinstance(record, dict)
-        except (ValueError, UnicodeDecodeError):
-            usable = False
-        if usable:
-            self.recovered_tail += 1
-            self._count("explore_store_tail_recovered_total",
-                        "torn store tails completed on load")
-            repaired = keep + tail + b"\n"
-        else:
-            self.dropped_tail += 1
-            self._count("explore_store_lines_dropped_total",
-                        "torn store tails truncated away on load")
-            repaired = keep
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(repaired)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        return repaired
-
-    @staticmethod
-    def _count(name: str, help_text: str) -> None:
-        if _OBS.metrics_on:
-            _METRICS.counter(name, help_text).inc()
 
     # -- mapping view ---------------------------------------------------
     def __len__(self) -> int:
@@ -225,17 +160,8 @@ class ResultStore:
         payload["schema"] = STORE_SCHEMA_VERSION
         payload["key"] = key
         self._records[key] = payload
-        if self.path is None:
-            return
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-                fh.flush()
-        except OSError:
-            # persistence is best-effort; the in-memory search proceeds.
-            self._count("explore_store_write_failed_total",
-                        "store appends dropped on OSError")
+        if self._log is not None:
+            self._log.append([payload])
 
     # -- convenience ----------------------------------------------------
     def records_for_schema(self, schema_digest: str) -> List[Dict[str, Any]]:

@@ -6,7 +6,8 @@ One tier protocol — :class:`MemoryTier` (private per-process LRU),
 cross-process single-flight (:class:`DigestLock`).  The engine cache,
 the explore result store's compacted segment, serving workers, and the
 provenance walkers all sit on this one layer; ``docs/STORAGE.md`` is
-the design note.
+the design note.  :mod:`repro.store.log` holds the append-only JSONL
+log under the explore WAL, the lineage sidecar and the lease journal.
 """
 
 from repro.store.locks import HAVE_FLOCK, DigestLock

@@ -18,7 +18,7 @@ worker's read lands in one of three places:
   write-back promotion, and hands out cross-process single-flight
   :class:`Flight` tokens backed by :class:`~repro.store.locks.DigestLock`.
 
-Entry format on disk is exactly the engine's historical ``DiskCache``
+Entry format on disk is exactly the engine's historical flat-cache
 envelope — ``{"schema": N, "value": <payload>}`` — byte-for-byte, so
 lineage blocks inside engine envelopes survive the refactor unchanged
 and ``adopt_disk_cache`` keeps working on both layouts.  A flat
@@ -172,7 +172,7 @@ class DiskTier:
     schema:
         Entries are wrapped ``{"schema": schema, "value": value}`` on
         write and filtered on read: a foreign-schema entry is a miss,
-        not an error (exactly the historical ``DiskCache`` contract).
+        not an error (exactly the historical flat-cache contract).
     """
 
     name = "disk"

@@ -106,3 +106,25 @@ def test_journal_tolerates_torn_tail_and_junk(tmp_path):
     assert reloaded.skipped_lines == 2
     state = reloaded.replay()
     assert state.completed == [(0, 2)]
+
+
+def test_journal_torn_tail_is_repaired_before_next_append(tmp_path):
+    """A restarted controller's first event must not glue onto torn
+    bytes: the torn tail is cut away on open, so the event survives
+    the next replay."""
+    path = str(tmp_path / "j")
+    journal = LeaseJournal(path)
+    journal.append({"event": "plan", "tasks_digest": "t", "total": 8})
+    journal.append({"event": "complete", "lease": 1, "lo": 0, "hi": 4,
+                    "done": 4})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"event":"grant","schema":%d,"lea'
+                 % JOURNAL_SCHEMA_VERSION)  # controller killed mid-append
+
+    restarted = LeaseJournal(path)
+    with open(path, "rb") as fh:
+        assert fh.read().endswith(b"\n")
+    restarted.append({"event": "complete", "lease": 2, "lo": 4, "hi": 8,
+                      "done": 4})
+    state = LeaseJournal(path).replay()
+    assert state.completed == [(0, 4), (4, 8)]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.registry import get_arch
 from repro.core.engine import (
-    DiskCache,
+    CACHE_SCHEMA_VERSION,
     ExperimentEngine,
     LRUCache,
     experiment_key,
@@ -26,6 +26,7 @@ from repro.core.engine import (
 from repro.core.tracing import TraceConfig, replay_trace
 from repro.isa.executor import Executor
 from repro.isa.program import Program, ProgramBuilder
+from repro.store import DiskTier
 
 
 def build_program(alus=4, stores=2, loads=1, name="prog"):
@@ -181,8 +182,8 @@ def test_lru_cache_evicts_least_recently_used():
         LRUCache(maxsize=0)
 
 
-def test_disk_cache_round_trip_and_corruption(tmp_path):
-    disk = DiskCache(str(tmp_path))
+def test_disk_tier_round_trip_and_corruption(tmp_path):
+    disk = DiskTier(str(tmp_path), schema=CACHE_SCHEMA_VERSION)
     payload = {"x": 1, "nested": {"y": [1, 2]}}
     disk.put("k", payload)
     assert disk.get("k") == payload

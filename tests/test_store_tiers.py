@@ -4,13 +4,14 @@ Single-process coverage of :mod:`repro.store` (the two-process
 guarantees live in ``test_store_singleflight.py``): sharded layout and
 legacy fallback, atomic writes that never leave temp files, quarantine
 on torn entries, read-through/write-back promotion with per-tier
-counters, and the engine's temp-file hygiene regression (a failed
-write — OSError *or* serialization error — leaves nothing behind).
+counters, and temp-file hygiene (a failed write — OSError, which is
+counted, *or* serialization error — leaves nothing behind).
 """
 
 import glob
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.store import (
 )
 from repro.store.tiers import LRUCache
 
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
 KEY = "ab" + "c" * 62
 OTHER = "cd" + "e" * 62
 
@@ -50,18 +52,15 @@ def test_disk_tier_shards_by_digest_prefix(tmp_path):
 
 
 def test_disk_tier_entry_bytes_match_legacy_disk_cache(tmp_path):
-    """The sharded entry is byte-identical to what the engine's flat
-    DiskCache wrote — lineage envelopes survive the refactor."""
-    from repro.core.engine import CACHE_SCHEMA_VERSION, DiskCache
+    """The sharded entry is byte-identical to what the engine's old flat
+    disk cache wrote (checked-in fixture) — lineage envelopes survive
+    the refactor."""
+    from repro.core.engine import CACHE_SCHEMA_VERSION
 
     value = {"value": {"cycles": 7}, "lineage": {"key": KEY, "spec_fp": "s"}}
-    DiskCache(str(tmp_path / "flat")).put(KEY, value)
-    DiskTier(str(tmp_path / "sharded"),
-             schema=CACHE_SCHEMA_VERSION).put(KEY, value)
-    flat = open(tmp_path / "flat" / f"{KEY}.json", "rb").read()
-    sharded = open(
-        tmp_path / "sharded" / "objects" / "ab" / f"{KEY}.json", "rb").read()
-    assert flat == sharded
+    DiskTier(str(tmp_path), schema=CACHE_SCHEMA_VERSION).put(KEY, value)
+    sharded = (tmp_path / "objects" / "ab" / f"{KEY}.json").read_bytes()
+    assert sharded == (GOLDENS / "disk_cache_entry.json").read_bytes()
 
 
 def test_disk_tier_reads_flat_legacy_entries(tmp_path):
@@ -102,7 +101,12 @@ def test_disk_tier_quarantines_torn_entries(tmp_path):
 def test_disk_tier_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
     tier = DiskTier(str(tmp_path), schema=1)
     monkeypatch.setattr(os, "replace", _raise_oserror)
-    tier.put(KEY, {"v": 1})  # swallowed, counted
+    with obs.capture(enable_spans=False) as capture:
+        tier.put(KEY, {"v": 1})  # swallowed, counted
+        window = capture.metrics()
+    cells = window["metrics"]["store_write_failed_total"]["cells"]
+    assert sum(cells.values()) == 1
+    monkeypatch.undo()
     assert no_tmp_files(str(tmp_path))
     assert tier.get(KEY) is None
 
@@ -112,6 +116,7 @@ def test_disk_tier_serialization_failure_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         tier.put(KEY, {"bad": object()})
     assert no_tmp_files(str(tmp_path))
+    assert tier.get(KEY) is None
 
 
 def _raise_oserror(*_args, **_kwargs):
@@ -119,15 +124,15 @@ def _raise_oserror(*_args, **_kwargs):
 
 
 # ----------------------------------------------------------------------
-# the engine's legacy DiskCache: same hygiene (regression)
+# the engine's disk cache: same hygiene (regression)
 # ----------------------------------------------------------------------
 
 def test_disk_cache_serialization_failure_leaves_no_temp_file(tmp_path):
     """Regression: a non-OSError failure (unserializable value) used to
-    leave a partial ``*.tmp.*`` file behind."""
-    from repro.core.engine import DiskCache
+    leave a partial ``*.tmp.*`` file behind in the engine's disk cache."""
+    from repro.core.engine import ExperimentEngine
 
-    cache = DiskCache(str(tmp_path))
+    cache = ExperimentEngine(disk_cache_dir=str(tmp_path))._disk
     with pytest.raises(TypeError):
         cache.put(KEY, {"bad": object()})
     assert no_tmp_files(str(tmp_path))
