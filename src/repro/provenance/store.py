@@ -148,7 +148,12 @@ class Recorder:
 
     def record_many(self, records: "list[LineageRecord]",
                     sink: Optional[LineageStore] = None) -> List[LineageRecord]:
-        return [self.record(record, sink=sink) for record in records]
+        """:meth:`record` each record, persisting the batch to ``sink``
+        with one :meth:`LineageStore.append_many` (one file open)."""
+        merged = [self.record(record) for record in records]
+        if sink is not None:
+            sink.append_many(merged)
+        return merged
 
     def record_chain(self, records: "tuple[LineageRecord, ...]",
                      sink: Optional[LineageStore] = None) -> List[LineageRecord]:
@@ -184,8 +189,7 @@ class Recorder:
                         seen.add(record.digest)
                         bucket.append(merged)
         if sink is not None:
-            for merged in merged_out:
-                sink.append(merged)
+            sink.append_many(merged_out)
         return merged_out
 
     def deliver_to_scopes(self, records: "tuple[LineageRecord, ...]") -> None:
@@ -270,13 +274,12 @@ def merge_lineage_payload(payload: object,
                           sink: Optional[LineageStore] = None) -> List[LineageRecord]:
     """Rehydrate records shipped back from a worker and re-record them
     locally (so parent scopes and sinks observe fan-out work)."""
-    merged: List[LineageRecord] = []
     if not isinstance(payload, (list, tuple)):
-        return merged
+        return []
+    records: List[LineageRecord] = []
     for item in payload:
         try:
-            record = LineageRecord.from_dict(item)
+            records.append(LineageRecord.from_dict(item))
         except (ValueError, TypeError, AttributeError):
             continue
-        merged.append(PROVENANCE.record(record, sink=sink))
-    return merged
+    return PROVENANCE.record_many(records, sink=sink)

@@ -19,6 +19,13 @@ Three distribution families cover what OS-event modelling needs:
 * :class:`Lognormal` — heavy-tailed durations (think times, service
   bursts), fit by log-moments.
 
+Every family also draws in blocks: ``sample_many(rng, n)`` returns the
+same ``n`` floats, bit for bit, as ``n`` successive ``sample(rng)``
+calls and leaves ``rng`` in the same state, so the chunked scenario
+pipeline reproduces the per-event stream exactly.  The block draws
+need numpy; ``sample`` and everything else here are standard library
+only, so the per-event path runs without it.
+
 Nothing here touches module-global RNG state: every ``sample`` takes
 a :class:`random.Random` the caller owns, and :func:`rng_for` derives
 one deterministically from a seed plus a scope string (the same
@@ -35,6 +42,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+try:  # numpy is optional: only the block draws (``sample_many``) need it
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy-less environments
+    np = None
+
 
 def rng_for(seed: int, *scope: str) -> random.Random:
     """A deterministic generator for (seed, scope).
@@ -46,6 +58,24 @@ def rng_for(seed: int, *scope: str) -> random.Random:
     CPython, so the stream is stable across runs and platforms.
     """
     return random.Random(f"{seed}:" + ":".join(scope))
+
+
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """``n`` successive ``rng.random()`` draws as a float64 array.
+
+    CPython's ``random()`` takes two 32-bit Mersenne words ``a, b`` and
+    returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.  One
+    ``getrandbits(64 * n)`` consumes exactly those ``2 n`` words, least
+    significant first, so rebuilding the doubles from its bytes gives
+    the same floats (every step is exact in float64) and the same final
+    generator state, at a fraction of the per-call cost.
+    """
+    if n <= 0:
+        return np.empty(0)
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
+                          dtype="<u4")
+    return (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6))
+            * (1.0 / 9007199254740992.0))
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +182,12 @@ class ProbabilityMap:
         """One inverse-CDF draw from the caller's generator."""
         return self.values[bisect.bisect_left(self._cdf, rng.random())]
 
+    def sample_many(self, rng: random.Random, n: int) -> np.ndarray:
+        """``n`` draws; ``searchsorted(side="left")`` is ``bisect_left``."""
+        index = np.searchsorted(np.asarray(self._cdf), uniforms(rng, n),
+                                side="left")
+        return np.asarray(self.values)[index]
+
     def mean(self) -> float:
         return sum(v * p for v, p in zip(self.values, self.probabilities))
 
@@ -190,6 +226,13 @@ class Exponential:
         # inverse CDF: -ln(1 - u) / rate; 1 - u avoids log(0).
         return -math.log(1.0 - rng.random()) / self.rate
 
+    def sample_many(self, rng: random.Random, n: int) -> np.ndarray:
+        """``n`` draws.  The log is ``math.log`` mapped over the block:
+        ``np.log`` rounds differently on some inputs, which would break
+        bit identity with :meth:`sample`."""
+        logs = list(map(math.log, (1.0 - uniforms(rng, n)).tolist()))
+        return -np.array(logs, dtype=np.float64) / self.rate
+
     def mean(self) -> float:
         return 1.0 / self.rate
 
@@ -223,6 +266,12 @@ class Lognormal:
     def sample(self, rng: random.Random) -> float:
         return math.exp(rng.gauss(self.mu, self.sigma))
 
+    def sample_many(self, rng: random.Random, n: int) -> np.ndarray:
+        """``n`` draws, one at a time: ``gauss`` caches every second
+        normal on the generator, so it cannot be drawn in a block."""
+        sample = self.sample
+        return np.array([sample(rng) for _ in range(n)], dtype=np.float64)
+
     def mean(self) -> float:
         return math.exp(self.mu + self.sigma ** 2 / 2.0)
 
@@ -231,8 +280,9 @@ class Lognormal:
         return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
 
 
-#: anything with ``sample(rng) -> float`` plus ``mean()``; the three
-#: classes above all qualify (structural, no ABC needed).
+#: anything with ``sample(rng) -> float``, ``sample_many(rng, n)`` and
+#: ``mean()``; the three classes above all qualify (structural, no ABC
+#: needed).
 Distribution = object
 
 

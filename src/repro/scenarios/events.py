@@ -8,9 +8,10 @@ server dispatch beyond the system calls and switches it already
 costs as primitive events).
 
 Events are deliberately tiny (a ``NamedTuple`` of a float and an
-enum): the generator emits millions of them lazily, and the scenario
-runner consumes them one at a time, so nothing anywhere holds an
-event list.
+enum), and with numpy the hot path does not make them at all: the
+generator emits chunks of arrays with each kind as its ``KIND_ORDER``
+index, and the scenario runner folds a chunk at a time, so nothing
+anywhere holds an event list.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class ScenarioEventKind(enum.Enum):
     IPC_MESSAGE = "ipc_message"
 
 
-#: generation order index (heap tie-break; enum definition order).
+#: generation order index (the merge tie-break and the int kind of a
+#: chunk; enum definition order).
 KIND_ORDER = {kind: index for index, kind in enumerate(ScenarioEventKind)}
 
 #: canonical kind list, generation order.

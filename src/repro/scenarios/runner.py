@@ -36,6 +36,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+try:  # numpy is optional: without it replications fold event by event
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy-less environments
+    np = None
+
 from repro.arch.specs import ArchSpec
 from repro.core.engine import SweepRunner, fingerprint_spec
 from repro.isa.executor import Executor
@@ -50,9 +55,9 @@ from repro.provenance import (
     LineageRecord,
     get_request_id,
 )
-from repro.scenarios.events import ScenarioEventKind
+from repro.scenarios.events import ALL_KINDS, ScenarioEventKind
 from repro.scenarios.fitters import WorkloadModel
-from repro.scenarios.generator import generate_events
+from repro.scenarios.generator import generate_chunks, generate_events
 from repro.scenarios.sketches import (
     OnlineAggregate,
     aggregate_digest,
@@ -158,8 +163,12 @@ def run_replication(model: WorkloadModel, spec: ArchSpec,
 
     The record is everything the scenario layer keeps: the aggregate
     payload (bounded-memory sketch state), its bit-identity digest,
-    the key fields, and wall-clock throughput.  The event stream
-    itself is consumed and discarded one event at a time.
+    the key fields, and wall-clock throughput.  The event stream is
+    generated, priced and folded a chunk of arrays at a time
+    (``generate_chunks`` into ``OnlineAggregate.observe_chunk``), so
+    memory stays O(chunk) and the digest equals the per-event
+    ``observe`` fold bit for bit.  Without numpy the replication runs
+    that per-event fold (``generate_events`` into ``observe``) instead.
     """
     if events < 1:
         raise ValueError("a replication needs at least one event")
@@ -167,8 +176,15 @@ def run_replication(model: WorkloadModel, spec: ArchSpec,
     costs = cost_model.cost_us
     aggregate = OnlineAggregate(window_us=window_us)
     started = time.perf_counter()
-    for event in generate_events(model, seed, max_events=events):
-        aggregate.observe(event.at_us, event.kind, costs[event.kind])
+    if np is None:
+        for event in generate_events(model, seed, max_events=events):
+            aggregate.observe(event.at_us, event.kind, costs[event.kind])
+    else:
+        # costs lowered to an array indexed by KIND_ORDER, so a chunk of
+        # int kinds is priced as cost_vector[kinds]
+        cost_vector = np.array([costs[kind] for kind in ALL_KINDS])
+        for at_us, kinds in generate_chunks(model, seed, max_events=events):
+            aggregate.observe_chunk(at_us, kinds, cost_vector)
     wall_s = max(time.perf_counter() - started, 1e-9)
     payload = aggregate.payload()
     digest = aggregate_digest(payload)

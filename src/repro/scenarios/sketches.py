@@ -14,6 +14,14 @@ updated per observation —
   windowed OS-utilization quantiles (p50/p99 over fixed simulated-time
   windows — the tail-overhead statistic).
 
+:meth:`OnlineAggregate.observe` folds one event;
+:meth:`OnlineAggregate.observe_chunk` folds a chunk of events held in
+arrays and reaches the same state bit for bit: every running sum is a
+left-to-right ``np.cumsum`` seeded with the carried value (never the
+pairwise ``sum``/``np.add.reduce``/``reduceat``), and the
+order-dependent Welford and P² recurrences stay sequential.  Only
+``observe_chunk`` needs numpy.
+
 Everything is deterministic: the same observation sequence produces
 bit-identical state, so a same-seed replication's
 :func:`aggregate_digest` is a bit-identity check for the whole
@@ -25,9 +33,19 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.scenarios.events import ScenarioEventKind
+try:  # numpy is optional: only observe_chunk needs it
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy-less environments
+    np = None
+
+from repro.scenarios.events import ALL_KINDS, ScenarioEventKind
+
+
+#: most windows one step of :meth:`OnlineAggregate.observe_chunk` closes,
+#: bounding its arrays when ``window_us`` is short next to the gaps.
+WINDOW_BLOCK = 4096
 
 
 class StreamingMoments:
@@ -45,6 +63,16 @@ class StreamingMoments:
         delta = value - self.mean
         self.mean += delta / self.count
         self._m2 += delta * (value - self.mean)
+
+    def add_many(self, values: Sequence[float]) -> None:
+        """:meth:`add` each value in order (one local-variable loop)."""
+        count, mean, m2 = self.count, self.mean, self._m2
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+        self.count, self.mean, self._m2 = count, mean, m2
 
     @property
     def variance(self) -> float:
@@ -185,9 +213,90 @@ class OnlineAggregate:
         self.kind_us[kind] = self.kind_us.get(kind, 0.0) + cost_us
         previous = self._last_arrival.get(kind)
         if previous is not None:
-            self.inter_arrival.setdefault(
-                kind, StreamingMoments()).add(at_us - previous)
+            moments = self.inter_arrival.get(kind)
+            if moments is None:
+                moments = self.inter_arrival[kind] = StreamingMoments()
+            moments.add(at_us - previous)
         self._last_arrival[kind] = at_us
+
+    def observe_chunk(self, at_us: np.ndarray, kinds: np.ndarray,
+                      cost_vector: np.ndarray) -> None:
+        """Fold a time-ordered chunk of events, exactly as :meth:`observe`
+        per event would.
+
+        ``kinds`` holds ``KIND_ORDER`` indices and ``cost_vector[i]`` is
+        the cost of ``ALL_KINDS[i]``, so an event costs
+        ``cost_vector[kind]``.
+        """
+        n = len(at_us)
+        if n == 0:
+            return
+        costs = cost_vector[kinds]
+        self._fold_windows(at_us, costs)
+        self.events += n
+        self.os_us = _carried_sum(self.os_us, costs)
+        self.last_at_us = float(at_us[-1])
+
+        # per kind: a stable sort by kind keeps each kind's arrivals in
+        # time order, so kind i is the slice starts[i]:ends[i]; every
+        # gap is one subtraction from the previous arrival of its kind
+        counts = np.bincount(kinds, minlength=len(ALL_KINDS))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        stamps = at_us[np.argsort(kinds, kind="stable")]
+        previous = np.empty(n)
+        previous[1:] = stamps[:-1]
+        present = np.flatnonzero(counts).tolist()
+        for i in present:
+            previous[starts[i]] = self._last_arrival.get(ALL_KINDS[i], 0.0)
+        gaps = (stamps - previous).tolist()
+        for i in present:
+            kind, start, end = ALL_KINDS[i], int(starts[i]), int(ends[i])
+            count = end - start
+            self.counts[kind] = self.counts.get(kind, 0) + count
+            self.kind_us[kind] = _carried_sum(self.kind_us.get(kind, 0.0),
+                                              np.full(count, cost_vector[i]))
+            if kind not in self._last_arrival:
+                start += 1  # a kind's first arrival has no gap
+            if start < end:
+                moments = self.inter_arrival.get(kind)
+                if moments is None:
+                    moments = self.inter_arrival[kind] = StreamingMoments()
+                moments.add_many(gaps[start:end])
+            self._last_arrival[kind] = float(stamps[end - 1])
+
+    def _fold_windows(self, at_us: np.ndarray, costs: np.ndarray) -> None:
+        """Close every window the chunk crosses and carry the open one.
+
+        Window ends are the sequential sums ``end, end + w, ...`` that
+        :meth:`_close_window` produces one at a time; an event at or
+        past an end belongs to a later window.  Each step closes at
+        most :data:`WINDOW_BLOCK` windows, so however short ``window_us``
+        is, no array grows past O(chunk + WINDOW_BLOCK).
+        """
+        window_us = self.window_us
+        while at_us[-1] >= self._window_end_us:
+            # ends[:-1] close this step's windows; ends[-1] ends the next
+            ends = _sequential_ends(self._window_end_us, window_us,
+                                    float(at_us[-1]), WINDOW_BLOCK)
+            # stops[j]: how many events fall before window j's end
+            stops = np.searchsorted(at_us, ends[:-1], side="left").tolist()
+            utilizations = []
+            start, window_os = 0, self._window_os_us
+            for stop in stops:
+                if stop > start:
+                    window_os = _carried_sum(window_os, costs[start:stop])
+                utilizations.append(min(1.0, window_os / window_us))
+                start, window_os = stop, 0.0
+            self.window_utilization.add_many(utilizations)
+            p50, p99 = self.utilization_p50.add, self.utilization_p99.add
+            for utilization in utilizations:
+                p50(utilization)
+                p99(utilization)
+            self._window_os_us = 0.0
+            self._window_end_us = float(ends[-1])
+            at_us, costs = at_us[start:], costs[start:]
+        self._window_os_us = _carried_sum(self._window_os_us, costs)
 
     def _close_window(self) -> None:
         utilization = min(1.0, self._window_os_us / self.window_us)
@@ -228,6 +337,29 @@ class OnlineAggregate:
                 "p99": self.utilization_p99.value,
             },
         }
+
+
+def _carried_sum(seed: float, values: np.ndarray) -> float:
+    """``seed + values[0] + values[1] + ...``, added left to right."""
+    run = np.empty(len(values) + 1)
+    run[0] = seed
+    run[1:] = values
+    return float(np.cumsum(run, out=run)[-1])
+
+
+def _sequential_ends(end: float, step: float, last: float,
+                     limit: int) -> np.ndarray:
+    """``end, end + step, (end + step) + step, ...`` through the first
+    value past ``last`` but at most ``limit + 1`` values, each a
+    left-to-right sum."""
+    ends = np.array([end])
+    while ends[-1] <= last and len(ends) <= limit:
+        count = min(int((last - ends[-1]) / step) + 1, limit + 1 - len(ends))
+        run = np.full(count + 1, step)
+        run[0] = ends[-1]
+        ends = np.concatenate((ends[:-1], np.cumsum(run)))
+    # the count is estimated in floating point: drop any overshoot
+    return ends[:int(np.searchsorted(ends, last, side="right")) + 1]
 
 
 def aggregate_digest(payload: Dict[str, Any]) -> str:

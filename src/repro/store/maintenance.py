@@ -20,6 +20,7 @@ from repro.store.tiers import (
     QUARANTINE_DIR,
     STORE_LAYOUT_VERSION,
     DiskTier,
+    discard_file,
     iter_entry_paths,
 )
 
@@ -98,27 +99,27 @@ def gc_store(root: str, drop_unknown: bool = False) -> Dict[str, Any]:
         entry = _load_entry(path)
         if entry is None:
             removed_entries.append(key)
-            _unlink(path)
+            discard_file(path)
             continue
         block = _lineage_block(entry)
         if block is None:
             if drop_unknown:
                 removed_entries.append(key)
-                _unlink(path)
+                discard_file(path)
             else:
                 unknown += 1
                 kept += 1
             continue
         if str(block.get("key")) != key:
             removed_entries.append(key)
-            _unlink(path)
+            discard_file(path)
             continue
         kept += 1
     removed_tmp = _sweep_tmp(root)
     qdir = os.path.join(root, QUARANTINE_DIR)
     try:
         for name in os.listdir(qdir):
-            _unlink(os.path.join(qdir, name))
+            discard_file(os.path.join(qdir, name))
             removed_quarantine += 1
     except OSError:
         pass
@@ -169,13 +170,6 @@ def verify_store(root: str, schema: Optional[int] = None) -> Dict[str, Any]:
             "foreign_schema": foreign_schema, "mismatched": mismatched}
 
 
-def _unlink(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
 def _sweep_tmp(root: str) -> int:
     """Remove orphaned writer temp files (crashed before rename)."""
     removed = 0
@@ -194,6 +188,6 @@ def _sweep_tmp(root: str) -> int:
             if ".tmp." in name and name != MANIFEST_NAME:
                 full = os.path.join(d, name)
                 if os.path.isfile(full):
-                    _unlink(full)
+                    discard_file(full)
                     removed += 1
     return removed

@@ -33,7 +33,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
 from repro.obs import OBS_STATE as _OBS
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -63,6 +63,14 @@ def locking_default() -> bool:
     """Whether single-flight is on absent an explicit constructor arg."""
     return os.environ.get(LOCK_ENV, "1").strip().lower() not in (
         "0", "false", "no", "off")
+
+
+def discard_file(path: str) -> None:
+    """Unlink ``path`` if it exists (best-effort)."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def iter_entry_paths(root: str) -> Iterator[Tuple[str, str]]:
@@ -181,6 +189,11 @@ class DiskTier:
         self.root = root
         self.schema = schema
         os.makedirs(root, exist_ok=True)
+        # what this instance already created, so a put does not repeat
+        # the makedirs / manifest syscalls; a put that finds its shard
+        # gone (FileNotFoundError) forgets both and retries once.
+        self._shards: Set[str] = set()
+        self._manifest_written = False
 
     # -- layout ---------------------------------------------------------
     def shard_dir(self, key: str) -> str:
@@ -198,8 +211,11 @@ class DiskTier:
         return os.path.join(self.shard_dir(key), f"{key}.lock")
 
     def _write_manifest(self) -> None:
+        if self._manifest_written:
+            return
         manifest = os.path.join(self.root, MANIFEST_NAME)
         if os.path.exists(manifest):
+            self._manifest_written = True
             return
         tmp = f"{manifest}.tmp.{os.getpid()}"
         try:
@@ -207,13 +223,20 @@ class DiskTier:
                 json.dump({"layout": STORE_LAYOUT_VERSION,
                            "fanout": 16 ** SHARD_WIDTH}, fh)
             os.replace(tmp, manifest)
+            self._manifest_written = True
         except OSError:
-            pass
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            discard_file(tmp)
+
+    def _ensure_shard(self, shard: str) -> None:
+        if shard not in self._shards:
+            os.makedirs(shard, exist_ok=True)
+            self._shards.add(shard)
+        self._write_manifest()
+
+    def _write_entry(self, tmp: str, path: str, value: Any) -> None:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"schema": self.schema, "value": value}, fh)
+        os.replace(tmp, path)
 
     # -- entry I/O ------------------------------------------------------
     def get(self, key: str) -> Optional[Any]:
@@ -245,31 +268,34 @@ class DiskTier:
         store to upper tiers and is counted; any failure — including
         non-OS serialization errors — leaves no temp file behind."""
         path = self.path(key)
+        shard = self.shard_dir(key)
         tmp = f"{path}.tmp.{os.getpid()}-{threading.get_ident()}"
+        published = False
         try:
-            os.makedirs(self.shard_dir(key), exist_ok=True)
-            self._write_manifest()
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"schema": self.schema, "value": value}, fh)
-            os.replace(tmp, path)
+            self._ensure_shard(shard)
+            try:
+                self._write_entry(tmp, path, value)
+            except FileNotFoundError:
+                # the shard (or the whole root) was removed since this
+                # instance created it
+                self._shards.discard(shard)
+                self._manifest_written = False
+                self._ensure_shard(shard)
+                self._write_entry(tmp, path, value)
+            published = True
         except OSError:
             if _OBS.metrics_on:
                 _METRICS.counter(
                     "store_write_failed_total",
                     "store disk writes dropped on OSError").inc()
         finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if not published:
+                discard_file(tmp)
 
     def delete(self, key: str) -> None:
         """Drop one entry from both layouts (missing is fine)."""
         for path in (self.path(key), self.legacy_path(key)):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            discard_file(path)
 
     def quarantine(self, path: str) -> None:
         """Move a torn entry into ``quarantine/`` (best-effort unlink
@@ -280,10 +306,7 @@ class DiskTier:
             os.makedirs(qdir, exist_ok=True)
             os.replace(path, os.path.join(qdir, os.path.basename(path)))
         except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            discard_file(path)
         if _OBS.metrics_on:
             _METRICS.counter(
                 "store_quarantined_total",

@@ -184,3 +184,88 @@ def test_merge_payload_tolerates_garbage():
     assert merge_lineage_payload(None) == []
     assert merge_lineage_payload("nope") == []
     assert merge_lineage_payload([{"not": "a record"}, 7]) == []
+
+
+# ----------------------------------------------------------------------
+# batched sidecar appends
+# ----------------------------------------------------------------------
+
+_EXPLORE_SIDECAR = """
+import json, os, sys
+root, mode = sys.argv[1], sys.argv[2]
+os.environ["REPRO_CACHE_DIR"] = os.path.join(root, "cache")
+from repro.explore import ExploreRunner, GridSearch, ResultStore, tiny_space
+from repro.provenance import LineageStore, set_provenance_enabled
+from repro.store.log import AppendLog
+
+opens = []
+append = AppendLog.append
+
+def counting_append(self, records):
+    records = list(records)
+    if records and self.path.endswith(".lineage"):
+        opens.append(len(records))
+    return append(self, records)
+
+def append_one_at_a_time(self, records):
+    for record in records:
+        self.append(record)
+
+AppendLog.append = counting_append
+if mode == "per-record":
+    LineageStore.append_many = append_one_at_a_time
+set_provenance_enabled(True)
+ExploreRunner(tiny_space(), store=ResultStore(os.path.join(root, "trials.jsonl")),
+              strategy=GridSearch(), budget=3).run()
+print(json.dumps(opens))
+"""
+
+
+def _explore_sidecar(root, mode):
+    """Run a tiny exploration with lineage on in a fresh process (so no
+    earlier run's records or caches leak in); return the sidecar bytes
+    and the size of every batch appended to it (one file open each)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    root.mkdir()
+    out = subprocess.run([sys.executable, "-c", _EXPLORE_SIDECAR, str(root),
+                          mode], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    with open(root / "trials.jsonl.lineage", "rb") as fh:
+        return fh.read(), json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_batched_lineage_appends_write_identical_sidecar(tmp_path):
+    """Shipped worker records reach the sidecar through one
+    ``append_many`` per batch; the bytes equal one ``append`` per record."""
+    batched, batched_opens = _explore_sidecar(tmp_path / "batched", "batched")
+    per_record, per_record_opens = _explore_sidecar(tmp_path / "per-record",
+                                                    "per-record")
+    assert batched and batched == per_record
+    assert max(per_record_opens) == 1
+    assert len(batched_opens) < len(per_record_opens)
+    assert sum(batched_opens) == sum(per_record_opens)
+
+
+def test_record_many_sinks_one_batch(tmp_path):
+    recorder = Recorder()
+    sink = LineageStore(str(tmp_path / "l.jsonl"))
+    batches = []
+    append_many = sink.append_many
+    sink.append_many = lambda records: (batches.append(len(records)),
+                                        append_many(records))
+    merged = recorder.record_many([rec("d1", inputs=("a",)),
+                                   rec("d1", inputs=("b",)), rec("d2")],
+                                  sink=sink)
+    assert [r.digest for r in merged] == ["d1", "d1", "d2"]
+    assert batches == [3]
+    assert set(sink.get("d1").inputs) == {"a", "b"}
+    assert LineageStore(sink.path).records() == sink.records()

@@ -23,7 +23,7 @@ from repro.store import (
     iter_entry_paths,
     preregister_store_metrics,
 )
-from repro.store.tiers import LRUCache
+from repro.store.tiers import MANIFEST_NAME, LRUCache
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 KEY = "ab" + "c" * 62
@@ -121,6 +121,49 @@ def test_disk_tier_serialization_failure_leaves_no_temp_file(tmp_path):
 
 def _raise_oserror(*_args, **_kwargs):
     raise OSError("disk full")
+
+
+def test_disk_tier_put_skips_repeated_setup_syscalls(tmp_path, monkeypatch):
+    """A put makes its shard dir and the manifest once per instance, and
+    unlinks nothing after a successful rename."""
+    tier = DiskTier(str(tmp_path), schema=1)
+    made, unlinked = [], []
+    makedirs, unlink = os.makedirs, os.unlink
+
+    def counting_makedirs(path, *args, **kwargs):
+        made.append(path)
+        return makedirs(path, *args, **kwargs)
+
+    def counting_unlink(path, *args, **kwargs):
+        unlinked.append(path)
+        return unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", counting_makedirs)
+    monkeypatch.setattr(os, "unlink", counting_unlink)
+    for value in range(3):
+        tier.put(KEY, {"v": value})
+        tier.put(KEY[:-1] + "d", {"v": value})  # same shard
+    tier.put(OTHER, {"v": 0})
+    shards = {tier.shard_dir(KEY), tier.shard_dir(OTHER)}
+    assert sorted(path for path in made if path in shards) == sorted(shards)
+    assert unlinked == []
+    monkeypatch.undo()
+    assert tier.get(KEY) == {"v": 2}
+    assert no_tmp_files(str(tmp_path))
+    assert os.path.exists(os.path.join(str(tmp_path), MANIFEST_NAME))
+
+
+def test_disk_tier_put_recreates_a_removed_shard(tmp_path):
+    import shutil
+
+    root = tmp_path / "store"
+    tier = DiskTier(str(root), schema=1)
+    tier.put(KEY, {"v": 1})
+    shutil.rmtree(root)
+    tier.put(KEY, {"v": 2})  # retried once after FileNotFoundError
+    assert tier.get(KEY) == {"v": 2}
+    assert (root / MANIFEST_NAME).is_file()
+    assert no_tmp_files(str(root))
 
 
 # ----------------------------------------------------------------------
